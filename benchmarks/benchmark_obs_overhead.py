@@ -14,6 +14,11 @@ discard-everything sink — the marginal cost of constructing every event
 event volume, so span-emission regressions show up as a number even
 though only the disabled case is gated.
 
+A gated enabled-tracing case writes every event to a JSONL temp file
+(the ``--trace-out`` path: encoding and I/O included, sink close
+timed) and fails when it costs more than ``JSONL_MAX_RATIO`` (7x) the
+untraced run, so tracing stays cheap enough to leave on.
+
 A fourth, gated case re-runs the disabled-vs-baseline comparison with a
 migration controller attached: the decision-audit layer
 (``repro.obs.decisions``) must stay behind the same hoisted guard, so a
@@ -34,14 +39,20 @@ the identical seed, interleaved so machine drift hits them equally.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 import time
 
 import repro.obs.decisions as decisions_mod
 from repro.deploy import Deployment
 from repro.dynamics.controller import LoadBalancingController
 from repro.graphs.generator import monitoring_graph
-from repro.obs.trace import NullSink, TraceSink, Tracer
+from repro.obs.trace import JsonlSink, NullSink, TraceSink, Tracer
+
+#: Budget for tracing every event to a JSONL file, as a multiple of the
+#: untraced run time.
+JSONL_MAX_RATIO = 7.0
 
 
 class _DiscardSink(TraceSink):
@@ -68,6 +79,18 @@ def time_run(deployment: Deployment, tracer: Tracer | None,
         rates=[120.0, 120.0, 120.0], duration=duration, **kwargs
     )
     return time.perf_counter() - start
+
+
+def time_jsonl_run(deployment: Deployment, duration: float) -> float:
+    """One run tracing to a fresh JSONL file, closing it included."""
+    with tempfile.TemporaryDirectory() as scratch:
+        start = time.perf_counter()
+        with JsonlSink(os.path.join(scratch, "trace.jsonl")) as sink:
+            deployment.simulate(
+                rates=[120.0, 120.0, 120.0], duration=duration,
+                tracer=Tracer(sink),
+            )
+        return time.perf_counter() - start
 
 
 def assert_no_decision_records(deployment: Deployment,
@@ -122,6 +145,7 @@ def main(argv=None) -> int:
     time_run(deployment, enabled_tracer, args.duration)
     time_run(deployment, None, args.duration, controller=True)
     time_run(deployment, disabled_tracer, args.duration, controller=True)
+    time_jsonl_run(deployment, args.duration)
 
     # Correctness before timing: a disabled-tracing controller run must
     # build zero DecisionRecord objects and leave telemetry detached.
@@ -130,6 +154,7 @@ def main(argv=None) -> int:
     baseline_times = []
     disabled_times = []
     enabled_times = []
+    jsonl_times = []
     ctrl_baseline_times = []
     ctrl_disabled_times = []
     for _ in range(args.repeats):
@@ -140,6 +165,7 @@ def main(argv=None) -> int:
         enabled_times.append(
             time_run(deployment, enabled_tracer, args.duration)
         )
+        jsonl_times.append(time_jsonl_run(deployment, args.duration))
         ctrl_baseline_times.append(
             time_run(deployment, None, args.duration, controller=True)
         )
@@ -151,11 +177,13 @@ def main(argv=None) -> int:
     baseline = min(baseline_times)
     disabled = min(disabled_times)
     enabled = min(enabled_times)
+    jsonl = min(jsonl_times)
     ctrl_baseline = min(ctrl_baseline_times)
     ctrl_disabled = min(ctrl_disabled_times)
     overhead = (disabled - baseline) / baseline
     enabled_overhead = (enabled - baseline) / baseline
     ctrl_overhead = (ctrl_disabled - ctrl_baseline) / ctrl_baseline
+    jsonl_ratio = jsonl / baseline
     events_per_run = enabled_tracer.events_emitted // (args.repeats + 1)
     print(f"baseline (no tracer):     {baseline * 1e3:8.2f} ms")
     print(f"tracing disabled (null):  {disabled * 1e3:8.2f} ms")
@@ -164,12 +192,18 @@ def main(argv=None) -> int:
     print(f"tracing enabled (discard sink, spans included): "
           f"{enabled * 1e3:8.2f} ms ({enabled_overhead:+.2%}, "
           f"~{events_per_run} events/run; informational)")
+    print(f"tracing enabled (JSONL file): {jsonl * 1e3:8.2f} ms "
+          f"({jsonl_ratio:.2f}x untraced; budget "
+          f"{JSONL_MAX_RATIO:g}x)")
     print(f"controller, no tracer:    {ctrl_baseline * 1e3:8.2f} ms")
     print(f"controller, disabled:     {ctrl_disabled * 1e3:8.2f} ms "
           f"({ctrl_overhead:+.2%}; zero decision records asserted)")
     failed = False
     if overhead > args.tolerance:
         print("FAIL: disabled tracing exceeds the overhead budget")
+        failed = True
+    if jsonl_ratio > JSONL_MAX_RATIO:
+        print("FAIL: tracing to a JSONL file exceeds its budget")
         failed = True
     if ctrl_overhead > args.tolerance:
         print("FAIL: disabled tracing with a controller exceeds the "

@@ -92,7 +92,9 @@ from .obs import (
     MetricsRegistry,
     Observability,
     RunWriter,
+    TeeSink,
     Tracer,
+    TraceSink,
     configure,
     find_run,
     list_runs,
@@ -214,7 +216,9 @@ def _print_plan_summary(placement: Placement) -> None:
 
 
 def _obs_from_args(
-    args: argparse.Namespace, writer: Optional[RunWriter] = None
+    args: argparse.Namespace,
+    writer: Optional[RunWriter] = None,
+    memory_sink: Optional[MemorySink] = None,
 ):
     """Build the Observability bundle the --trace-out flag asks for.
 
@@ -222,15 +226,22 @@ def _obs_from_args(
     ``None``) when the command finishes so the JSONL file is flushed.
     An explicit ``--trace-out`` wins the event stream; otherwise a run
     recorder (``--record``) captures it into its ``trace.jsonl`` (that
-    sink is owned and closed by ``writer.finish``).
+    sink is owned and closed by ``writer.finish``).  A ``memory_sink``
+    is teed beside that durable sink (or used alone) so in-process
+    analyzers get the events without reading the file back.
     """
     sink = None
-    tracer = None
+    sinks: List[TraceSink] = []
     if getattr(args, "trace_out", None):
         sink = JsonlSink(args.trace_out)
-        tracer = Tracer(sink)
+        sinks.append(sink)
     elif writer is not None:
-        tracer = Tracer(writer.trace_sink())
+        sinks.append(writer.trace_sink())
+    if memory_sink is not None:
+        sinks.append(memory_sink)
+    tracer = None
+    if sinks:
+        tracer = Tracer(sinks[0] if len(sinks) == 1 else TeeSink(*sinks))
     return Observability(tracer=tracer), sink
 
 
@@ -421,7 +432,10 @@ def _faults_from_args(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     placement = _load_placement(args.graph, args.plan, args.nodes)
-    rates = [float(r) for r in args.rates.split(",")]
+    try:
+        rates = [float(r) for r in args.rates.split(",")]
+    except ValueError as exc:
+        raise SystemExit(f"--rates {args.rates}: {exc}") from None
     faults = _faults_from_args(args, placement, args.duration)
     controller = None
     if args.failover and getattr(args, "elastic", False):
@@ -469,15 +483,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config=config,
         placement=placement.to_document(),
     )
-    obs, sink = _obs_from_args(args, writer)
-    # SLO evaluation needs an event stream; when nothing else asked for
-    # one, capture it in memory so `--slo` works standalone.
+    # The recorded snapshot and the SLO report analyze the run's events
+    # in process, from a memory sink teed beside any trace file.
     memory_sink = None
-    if slo_objectives is not None and not obs.tracer.enabled:
+    if writer is not None or slo_objectives is not None:
         memory_sink = MemorySink()
-        obs = Observability(
-            registry=obs.registry, tracer=Tracer(memory_sink)
-        )
+    obs, sink = _obs_from_args(args, writer, memory_sink)
     try:
         simulator = Simulator(
             placement,
@@ -487,7 +498,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             faults=faults,
             controller=controller,
         )
-        result = simulator.run(rates=rates, duration=args.duration)
+        try:
+            result = simulator.run(rates=rates, duration=args.duration)
+        except ValueError as exc:
+            raise SystemExit(f"simulate: {exc}") from None
         print(result.summary())
         if getattr(args, "elastic", False):
             print(
@@ -498,7 +512,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"feasible at this rate point: {feasible}")
         if sink is not None:
             print(f"trace written to {args.trace_out}")
-        events = _simulate_trace_events(writer, sink, memory_sink, args)
+        events = memory_sink.events if memory_sink is not None else []
         snapshot = snapshot_from_result(result)
         slo_breached = False
         if events:
@@ -540,29 +554,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if sink is not None:
             sink.close()
         _seal_run(writer)
-
-
-def _simulate_trace_events(
-    writer: Optional[RunWriter],
-    sink: Optional[JsonlSink],
-    memory_sink,
-    args: argparse.Namespace,
-):
-    """The run's trace events, read back from whichever sink got them.
-
-    JSONL sinks are closed (flushed) before reading; both closes are
-    idempotent, so the `finally` / ``writer.finish`` closes that follow
-    are safe no-ops.  Returns ``[]`` for untraced runs.
-    """
-    if memory_sink is not None:
-        return memory_sink.events
-    if sink is not None:
-        sink.close()
-        return read_trace(args.trace_out)
-    if writer is not None and os.path.exists(writer.trace_path):
-        writer.trace_sink().close()
-        return read_trace(writer.trace_path)
-    return []
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -689,7 +680,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
     if manifest.sim_seconds is not None:
         print(f"  simulated seconds: {manifest.sim_seconds:g}")
     if run.has_trace:
-        print(f"  trace: {len(run.events())} events")
+        print(f"  trace: {run.event_count()} events")
     else:
         print("  trace: none")
     if run.result:

@@ -73,6 +73,7 @@ from .trace import (
     NullSink,
     NULL_SINK,
     NULL_TRACER,
+    TeeSink,
     TraceEvent,
     TraceSink,
     Tracer,
@@ -102,6 +103,7 @@ __all__ = [
     "Run",
     "RunManifest",
     "RunWriter",
+    "TeeSink",
     "TraceEvent",
     "TraceSink",
     "Tracer",

@@ -415,6 +415,13 @@ class Run:
             return []
         return read_trace(os.path.join(self.path, TRACE_NAME))
 
+    def event_count(self) -> int:
+        """Number of events in the run's trace, counted without parsing."""
+        if not self.has_trace:
+            return 0
+        with open(os.path.join(self.path, TRACE_NAME), encoding="utf-8") as fh:
+            return sum(1 for line in fh if line.strip())
+
     def __repr__(self) -> str:
         return f"Run({self.path!r})"
 

@@ -84,14 +84,23 @@ _FAULT, _CONTROL, _COMPLETION, _ARRIVAL = 0, 1, 2, 3
 _DRIFT_VOLUME_SAMPLES = 128
 
 
-def _transfer_cost(costs: TransferCosts, stream: str) -> float:
-    if isinstance(costs, Mapping):
-        value = float(costs.get(stream, 0.0))
-    else:
-        value = float(costs)
+def _checked_transfer_cost(cost: object, stream: str) -> float:
+    value = float(cost)
     if value < 0 or not math.isfinite(value):
         raise ValueError(f"transfer cost for {stream!r} must be finite >= 0")
     return value
+
+
+def _check_rates(rates: np.ndarray, name: str) -> None:
+    """Reject negative or non-finite rates, naming the first bad one."""
+    bad = ~np.isfinite(rates) | (rates < 0)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = ", ".join(map(str, index))
+        raise ValueError(
+            f"{name}[{where}] = {float(rates[index])} is not a finite "
+            "rate >= 0"
+        )
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,11 @@ class Simulator:
                 )
         self.step_seconds = float(step_seconds)
         self.transfer_costs = transfer_costs
+        # The per-stream Mapping, or None when one cost fits every
+        # stream: resolved here, not on every transfer.
+        self._stream_costs: Optional[Mapping[str, float]] = (
+            transfer_costs if isinstance(transfer_costs, Mapping) else None
+        )
         self.arrival_kind = arrival_kind
         self.seed = seed
         self.controller = controller
@@ -217,6 +231,8 @@ class Simulator:
         # mid-run); ``nominal`` reports end-of-run utilization.
         nominal = self.placement.capacities
         capacities = nominal.copy()
+        stream_costs = self._stream_costs
+        uniform_cost = self.transfer_costs
 
         # Hoisted observability state: `tracing` is the single hot-path
         # guard — when False, no trace call runs and no event object is
@@ -335,8 +351,10 @@ class Simulator:
                 for consumer, port in self._routes[out_stream]:
                     recv = 0.0
                     if assignment[consumer] != node:
-                        per_tuple = _transfer_cost(
-                            self.transfer_costs, out_stream
+                        per_tuple = _checked_transfer_cost(
+                            uniform_cost if stream_costs is None
+                            else stream_costs.get(out_stream, 0.0),
+                            out_stream,
                         )
                         send_work += per_tuple * out_count
                         recv = per_tuple * out_count
@@ -1025,6 +1043,7 @@ class Simulator:
                     f"rate series must have shape (steps, {d}), "
                     f"got {series.shape}"
                 )
+            _check_rates(series, "rate_series")
             return series
         if rates is None or duration is None:
             raise ValueError("pass rate_series, or both rates and duration")
@@ -1033,5 +1052,6 @@ class Simulator:
         r = np.asarray(rates, dtype=float)
         if r.shape != (d,):
             raise ValueError(f"expected {d} rates, got shape {r.shape}")
+        _check_rates(r, "rates")
         steps = max(1, int(round(duration / self.step_seconds)))
         return np.tile(r, (steps, 1))

@@ -96,6 +96,103 @@ class TestSimulate:
         ]) == 1
 
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-1"])
+    def test_bad_rate_is_a_one_line_error(self, graph_file, plan_file, bad):
+        with pytest.raises(SystemExit) as info:
+            main([
+                "simulate", "--graph", graph_file, "--plan", plan_file,
+                f"--rates={bad},20", "--duration", "3",
+            ])
+        message = str(info.value.code)
+        assert "rates[0]" in message and "finite rate >= 0" in message
+        assert "\n" not in message
+
+    def test_unparseable_rate_is_a_one_line_error(
+        self, graph_file, plan_file
+    ):
+        with pytest.raises(SystemExit, match="--rates x,20"):
+            main([
+                "simulate", "--graph", graph_file, "--plan", plan_file,
+                "--rates", "x,20", "--duration", "3",
+            ])
+
+
+class TestSimulateAnalyzersMatchReadBack:
+    """``simulate`` analyzes the events it tees into memory; the
+    ``result.json`` it writes must equal the snapshot recomputed from
+    the trace file read back, for every controller kind."""
+
+    SLO = {"objectives": [
+        {"name": "latency-p99", "kind": "latency",
+         "threshold_seconds": 0.25, "target": 0.99, "window_seconds": 2},
+        {"name": "throughput", "kind": "throughput",
+         "min_tuples_per_second": 30, "window_seconds": 2},
+    ]}
+
+    @pytest.fixture
+    def elastic_inputs(self, tmp_path):
+        graph = str(tmp_path / "elastic.graph.json")
+        plan = str(tmp_path / "elastic.plan.json")
+        assert main(["generate", "--kind", "elastic", "-o", graph]) == 0
+        assert main([
+            "place", "--graph", graph, "--nodes", "4", "-o", plan,
+        ]) == 0
+        return graph, plan
+
+    @staticmethod
+    def _recomputed(result, events, slo_path):
+        from repro.obs.critical_path import analyze_critical_path
+        from repro.obs.decisions import decision_snapshot
+        from repro.obs.drift import drift_snapshot
+        from repro.obs.slo import evaluate_slos, load_slo_config
+        from repro.obs.trace import _jsonable
+
+        sections = {
+            "critical_path": analyze_critical_path(events).to_json_obj(),
+            "decisions": decision_snapshot(events),
+            "drift": drift_snapshot(events),
+            "slo": evaluate_slos(
+                events, load_slo_config(slo_path)
+            ).to_json_obj(),
+        }
+        sections = json.loads(json.dumps(sections, default=_jsonable))
+        return {**result, **sections}
+
+    @pytest.mark.parametrize("corpus", ["balance", "chaos", "elastic"])
+    def test_result_equals_snapshot_from_read_back(
+        self, tmp_path, graph_file, plan_file, elastic_inputs, corpus,
+        capsys,
+    ):
+        from repro.obs import find_run, read_trace
+
+        slo_path = tmp_path / "slo.json"
+        slo_path.write_text(json.dumps(self.SLO))
+        graph, plan, extra = graph_file, plan_file, [
+            "--rates", "20,20", "--duration", "6",
+        ]
+        if corpus == "chaos":
+            extra += ["--chaos-seed", "5", "--failover", "volume"]
+        elif corpus == "elastic":
+            graph, plan = elastic_inputs
+            extra = ["--rates", "400", "--duration", "10", "--elastic"]
+        root = str(tmp_path / "runs")
+        trace_out = str(tmp_path / "trace.jsonl")
+        main([
+            "simulate", "--graph", graph, "--plan", plan, *extra,
+            "--record", root, "--run-id", corpus,
+            "--trace-out", trace_out, "--slo", str(slo_path),
+        ])
+        capsys.readouterr()
+        result = find_run(corpus, root).result
+        events = read_trace(trace_out)
+        assert events and set(result) >= {
+            "critical_path", "decisions", "drift", "slo",
+        }
+        if corpus != "balance":  # the controller really ran
+            assert result["decisions"]["evaluated"] > 0
+        assert result == self._recomputed(result, events, str(slo_path))
+
+
 class TestSimulateFaults:
     def test_fault_schedule_file(self, tmp_path, graph_file, plan_file,
                                  capsys):
@@ -451,6 +548,10 @@ class TestRunRegistryCli:
         assert main(["runs", "show", "base", "--root", recorded]) == 0
         out = capsys.readouterr().out
         assert "config digest" in out and "trace:" in out
+        from repro.obs import find_run
+
+        events = find_run("base", recorded).events()
+        assert f"trace: {len(events)} events" in out
 
     def test_runs_show_missing_run_fails(self, tmp_path, capsys):
         assert main([

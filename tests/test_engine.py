@@ -151,6 +151,22 @@ class TestNetworkCosts:
         ).run(rates=[100.0], duration=10.0)
         assert result.node_utilization[0] == pytest.approx(0.3, abs=0.02)
 
+    @pytest.mark.parametrize(
+        "costs", [-0.001, float("inf"), {"a.out": float("nan")}]
+    )
+    def test_bad_cost_rejected_when_its_stream_is_used(self, costs):
+        # Built without complaint; the first transfer on the stream
+        # raises, and a run that never transfers is unaffected.
+        split = Simulator(
+            self.make_plan(colocate=False), transfer_costs=costs
+        )
+        with pytest.raises(ValueError, match="'a.out' must be finite"):
+            split.run(rates=[100.0], duration=1.0)
+        together = Simulator(
+            self.make_plan(colocate=True), transfer_costs=costs
+        )
+        assert together.run(rates=[100.0], duration=1.0).tuples_out == 100
+
 
 class TestJoins:
     def test_join_load_tracks_quadratic_model(self, join_model):
@@ -193,6 +209,19 @@ class TestInputValidation:
         plan = single_op_plan()
         with pytest.raises(ValueError, match="expected 1 rates"):
             Simulator(plan).run(rates=[1.0, 2.0], duration=1.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative_rates_rejected(self, bad):
+        sim = Simulator(single_op_plan())
+        with pytest.raises(ValueError, match=r"rates\[0\] = .* finite"):
+            sim.run(rates=[bad], duration=1.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative_series_rejected(self, bad):
+        series = np.full((10, 1), 50.0)
+        series[3, 0] = bad
+        with pytest.raises(ValueError, match=r"rate_series\[3, 0\] = "):
+            Simulator(single_op_plan()).run(rate_series=series)
 
     def test_step_seconds_positive(self):
         with pytest.raises(ValueError, match="step_seconds"):

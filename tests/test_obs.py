@@ -21,8 +21,11 @@ from repro.obs.trace import (
     MemorySink,
     NULL_TRACER,
     NullSink,
+    TeeSink,
     TraceEvent,
+    TraceSink,
     Tracer,
+    _jsonable,
     parse_trace_line,
 )
 
@@ -432,6 +435,116 @@ class TestTraceEventEdgeCases:
     def test_unserializable_field_raises_type_error(self):
         with pytest.raises(TypeError, match="not JSON-serializable"):
             self.roundtrip(bad=object())
+
+
+class TestJsonlSinkFormat:
+    """The one-shot C-encoded lines are byte-identical to the streaming
+    ``json.dump`` encoding the wire format was defined by."""
+
+    @staticmethod
+    def events():
+        np = pytest.importorskip("numpy")
+        fields = [
+            {"count": np.int64(3), "ratio": np.float64(0.1) * 3,
+             "small": np.float32(0.1), "flag": np.bool_(False)},
+            {"busy": np.array([1.5, 2.25]),
+             "grid": np.arange(6).reshape(2, 3)},
+            {"parent": None, "nested": [1, [2.5, None, ["x"]], (3, 4)],
+             "map": {"k": [np.int32(1)], "2": {}}},
+            {"operator": "agg\u00e9\u4e2d\U0001f600", "quote": 'a"b\\c'},
+            {"burst": float("inf"), "gap": float("nan"), "tiny": 5e-324},
+        ]
+        return [
+            TraceEvent(type="phase", t=None if i == 2 else i * 0.1,
+                       wall=1754000000.0 + i / 3, fields=f)
+            for i, f in enumerate(fields)
+        ]
+
+    @staticmethod
+    def legacy(events):
+        buffer = io.StringIO()
+        for event in events:
+            json.dump(event.to_json_obj(), buffer,
+                      separators=(",", ":"), default=_jsonable)
+            buffer.write("\n")
+        return buffer.getvalue()
+
+    def test_handle_output_is_byte_identical(self):
+        buffer = io.StringIO()
+        with JsonlSink(buffer) as sink:
+            for event in self.events():
+                sink.write(event)
+        assert buffer.getvalue() == self.legacy(self.events())
+
+    def test_path_output_is_byte_identical(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(str(path)) as sink:
+            for event in self.events():
+                sink.write(event)
+        expected = self.legacy(self.events()).encode("utf-8")
+        assert path.read_bytes() == expected
+
+
+class CountingSink(MemorySink):
+    def __init__(self):
+        super().__init__()
+        self.closes = 0
+
+    def close(self):
+        self.closes += 1
+
+
+class TestTeeSink:
+    def test_forwards_every_event_to_every_sink(self):
+        first, second = CountingSink(), CountingSink()
+        tracer = Tracer(TeeSink(first, second))
+        assert tracer.enabled
+        for step in range(5):
+            tracer.emit("node.busy", t=step * 0.5, node=step % 2)
+        assert tracer.events_emitted == 5
+        assert [e.t for e in first.events] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert first.events == second.events
+        assert all(a is b for a, b in zip(first.events, second.events))
+
+    def test_closes_each_sink_once(self):
+        sinks = [CountingSink(), CountingSink(), CountingSink()]
+        with TeeSink(*sinks):
+            pass
+        assert [sink.closes for sink in sinks] == [1, 1, 1]
+
+    def test_memory_copy_matches_jsonl_read_back(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        memory = MemorySink()
+        tee = TeeSink(JsonlSink(path), memory)
+        tracer = Tracer(tee)
+        tracer.emit("sim.start", t=0.0, nodes=2, capacities=[1.0, 2.0])
+        tracer.emit("batch.serviced", t=0.1, node=1, work=0.004)
+        tee.close()
+        assert read_trace(path) == memory.events
+        assert isinstance(tee, TraceSink)
+
+
+class TestTraceReader:
+    def test_reads_an_open_handle_line_by_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"type":"phase","t":null,"wall":1.0}\n\n'
+            '{"type":"phase","t":2.0,"wall":2.0,"n":1}\nnot json\n'
+        )
+        with pytest.raises(ValueError, match="line 4"):
+            read_trace(str(path))
+        with open(path) as handle:
+            lines = [next(handle) for _ in range(3)]
+        events = read_trace(iter(lines))
+        assert [e.t for e in events] == [None, 2.0]
+        assert events[1].fields == {"n": 1}
+
+    def test_from_json_obj_leaves_its_input_alone(self):
+        obj = {"type": "phase", "t": 1, "wall": 2, "name": "x"}
+        event = TraceEvent.from_json_obj(obj)
+        assert obj == {"type": "phase", "t": 1, "wall": 2, "name": "x"}
+        assert event.fields == {"name": "x"}
+        assert event.t == 1.0 and isinstance(event.t, float)
 
 
 class TestPhaseTimer:
