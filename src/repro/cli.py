@@ -85,6 +85,7 @@ from .dynamics import (
 )
 from .faults import chaos_schedule, load_fault_schedule
 from .graphs.partition import partition_operator
+from .graphs.query_graph import QueryGraph
 from .graphs.serialize import dump_graph, load_graph
 from .obs import (
     JsonlSink,
@@ -186,12 +187,25 @@ def _build_placer(
     raise SystemExit(f"unknown algorithm: {name!r}")
 
 
+def _load_graph_arg(path: str) -> QueryGraph:
+    """``load_graph`` with a malformed document as a one-line error."""
+    try:
+        return load_graph(path)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise SystemExit(f"--graph {path}: invalid graph: {exc}") from None
+
+
 def _load_placement(
     graph_path: str, plan_path: str, nodes: Optional[int]
 ) -> Placement:
-    model = build_load_model(load_graph(graph_path))
+    model = build_load_model(_load_graph_arg(graph_path))
     with open(plan_path) as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:
+            raise SystemExit(
+                f"--plan {plan_path}: invalid JSON: {exc}"
+            ) from None
     if "assignment" in doc:
         # Static-check the document before construction so a stale or
         # corrupted plan fails with structured diagnostics, not a
@@ -202,10 +216,15 @@ def _load_placement(
         mapping = doc["assignment"]
     else:
         mapping = doc
-    capacities = doc.get(
-        "capacities",
-        [1.0] * (nodes or (max(mapping.values()) + 1)),
-    )
+    used = max(mapping.values()) + 1
+    capacities = doc.get("capacities", [1.0] * (nodes or used))
+    # --nodes may restate the plan's node count (or add idle nodes to a
+    # bare mapping), never contradict it.
+    if nodes is not None and (len(capacities) != nodes or used > nodes):
+        raise SystemExit(
+            f"--nodes {nodes}: plan {plan_path} uses "
+            f"{max(used, len(capacities))} nodes"
+        )
     return placement_from_mapping(model, capacities, mapping)
 
 
@@ -315,7 +334,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_place(args: argparse.Namespace) -> int:
-    model = build_load_model(load_graph(args.graph))
+    model = build_load_model(_load_graph_arg(args.graph))
     algorithm = "hierarchical" if args.hierarchical else args.algorithm
     placer = _build_placer(
         algorithm, model, args.seed,

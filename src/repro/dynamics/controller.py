@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,19 @@ from .state import MigrationCostModel
 __all__ = ["Migration", "MigrationController", "LoadBalancingController"]
 
 _LOG = get_logger(__name__)
+
+
+def smooth_loads(
+    smoothed: Dict[str, float],
+    operator_loads: Optional[Mapping[str, float]],
+    factor: float,
+) -> None:
+    """Fold measured operator loads into ``smoothed`` in place (EWMA
+    with weight ``factor`` on the new sample)."""
+    for name, value in (operator_loads or {}).items():
+        value = float(value)
+        previous = smoothed.get(name, value)
+        smoothed[name] = factor * value + (1 - factor) * previous
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,10 @@ class Migration:
 class MigrationController(abc.ABC):
     """Interface the simulator polls for migration decisions."""
 
+    #: Optional :class:`repro.obs.slo.SloWatcher`; when it reports
+    #: ``burning``, deliberations are recorded as SLO-triggered.
+    slo_watcher: Optional[object] = None
+
     def __init__(self, period: float = 1.0) -> None:
         if period <= 0:
             raise ValueError("control period must be > 0")
@@ -55,9 +72,8 @@ class MigrationController(abc.ABC):
         #: ``self.telemetry is not None`` so an untraced run allocates
         #: no decision records at all.
         self.telemetry: Optional[object] = None
-        #: Optional :class:`repro.obs.slo.SloWatcher`; when it reports
-        #: ``burning``, deliberations are recorded as SLO-triggered.
-        self.slo_watcher: Optional[object] = None
+        #: Every action this controller issued, in time order.
+        self.history: List[object] = []
 
     @abc.abstractmethod
     def decide(
@@ -75,6 +91,35 @@ class MigrationController(abc.ABC):
         (fraction of one CPU) over the last control period — the per-
         operator statistics a Borealis-style monitor provides.
         """
+
+    def _checked_cooldown(self, cooldown: Optional[float]) -> float:
+        """``cooldown`` seconds (default ``5 * period``), validated."""
+        value = 5.0 * self.period if cooldown is None else float(cooldown)
+        if value < 0:
+            raise ValueError("cooldown must be >= 0")
+        return value
+
+    def _begin_record(
+        self, controller: str, loads: Sequence[float],
+        trigger: str = "periodic", node: Optional[int] = None,
+    ) -> Optional[object]:
+        """Open a deliberation's decision record, or ``None`` untraced.
+
+        Only the simulator-attached telemetry allocates anything, so the
+        untraced path builds no record.  A periodic deliberation while
+        the SLO watcher is burning is recorded as ``slo-burn``.
+        """
+        if self.telemetry is None:
+            return None
+        watcher = self.slo_watcher if trigger == "periodic" else None
+        burning = watcher is not None and watcher.burning
+        return self.telemetry.begin(
+            trigger="slo-burn" if burning else trigger,
+            controller=controller,
+            loads=[float(value) for value in loads],
+            node=node,
+            burn_rate=float(watcher.last_burn_rate) if burning else None,
+        )
 
 
 class LoadBalancingController(MigrationController):
@@ -106,16 +151,12 @@ class LoadBalancingController(MigrationController):
             raise ValueError("max_moves_per_period must be >= 1")
         self.imbalance_threshold = imbalance_threshold
         self.max_moves_per_period = max_moves_per_period
-        self.cooldown = 5.0 * period if cooldown is None else float(cooldown)
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
+        self.cooldown = self._checked_cooldown(cooldown)
         self.cost_model = cost_model or MigrationCostModel()
         self.state_tuples: Dict[str, float] = dict(state_tuples or {})
         #: EWMA factor for utilization smoothing; reactive balancers must
         #: filter per-period measurement noise or they chase it.
         self.smoothing = 0.5
-        #: All migrations this controller has issued, for inspection.
-        self.history: List[Migration] = []
         self._last_moved: Dict[str, float] = {}
         self._smoothed: Optional[np.ndarray] = None
         self._smoothed_loads: Dict[str, float] = {}
@@ -131,21 +172,7 @@ class LoadBalancingController(MigrationController):
     ) -> List[Migration]:
         moves: List[Migration] = []
         raw = np.asarray(utilizations, dtype=float)
-        # Decision audit: build a record only when the simulator attached
-        # a telemetry collector (tracing on) — the untraced path must not
-        # allocate anything here.
-        record = None
-        if self.telemetry is not None:
-            watcher = self.slo_watcher
-            burning = watcher is not None and watcher.burning
-            record = self.telemetry.begin(
-                trigger="slo-burn" if burning else "periodic",
-                controller="balance",
-                loads=[float(value) for value in raw],
-                burn_rate=(
-                    float(watcher.last_burn_rate) if burning else None
-                ),
-            )
+        record = self._begin_record("balance", raw)
         if self._smoothed is None or self._smoothed.shape != raw.shape:
             self._smoothed = raw.copy()
         else:
@@ -153,13 +180,7 @@ class LoadBalancingController(MigrationController):
                 self.smoothing * raw + (1 - self.smoothing) * self._smoothed
             )
         utilizations = self._smoothed.copy()
-        if operator_loads is not None:
-            for name, value in operator_loads.items():
-                previous = self._smoothed_loads.get(name, float(value))
-                self._smoothed_loads[name] = (
-                    self.smoothing * float(value)
-                    + (1 - self.smoothing) * previous
-                )
+        smooth_loads(self._smoothed_loads, operator_loads, self.smoothing)
         working = dict(assignment)
 
         def load_of(name: str) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 from ..core.load_model import LoadModel
 from ..elastic.skew import rebalanced_fractions
 from ..obs.log import get_logger
-from .controller import MigrationController
+from .controller import MigrationController, smooth_loads
 from .state import MigrationCostModel
 
 __all__ = ["Repartition", "ElasticityController"]
@@ -99,17 +99,13 @@ class ElasticityController(MigrationController):
             raise ValueError("smoothing must be in (0, 1]")
         self.hot_threshold = hot_threshold
         self.cold_load = cold_load
-        self.cooldown = 5.0 * period if cooldown is None else float(cooldown)
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
+        self.cooldown = self._checked_cooldown(cooldown)
         self.min_fraction = min_fraction
         self.smoothing = smoothing
         self.cost_model = cost_model or MigrationCostModel()
         self.state_tuples: Dict[str, float] = dict(state_tuples or {})
         self.histograms = dict(histograms or {})
         self.slo_watcher = slo_watcher
-        #: Every repartition this controller issued, in time order.
-        self.history: List[Repartition] = []
         #: Current fractions per group (authoritative once we reconfigure).
         self._fractions: Dict[str, Tuple[float, ...]] = {}
         self._last_action: Dict[str, float] = {}
@@ -124,31 +120,13 @@ class ElasticityController(MigrationController):
         capacities: np.ndarray,
         operator_loads: Optional[Mapping[str, float]] = None,
     ) -> List[Repartition]:
-        record = None
-        if self.telemetry is not None:
-            watcher = self.slo_watcher
-            burning = watcher is not None and watcher.burning
-            record = self.telemetry.begin(
-                trigger="slo-burn" if burning else "periodic",
-                controller="elastic",
-                loads=[float(value) for value in utilizations],
-                burn_rate=(
-                    float(watcher.last_burn_rate) if burning else None
-                ),
-            )
+        record = self._begin_record("elastic", utilizations)
         groups = model.graph.partition_groups
         if not groups:
             if record is not None:
                 record.reason = "no-partition-groups"
             return []
-        if operator_loads:
-            for name in operator_loads:
-                value = float(operator_loads[name])
-                previous = self._smoothed_loads.get(name, value)
-                self._smoothed_loads[name] = (
-                    self.smoothing * value
-                    + (1 - self.smoothing) * previous
-                )
+        smooth_loads(self._smoothed_loads, operator_loads, self.smoothing)
         actions: List[Repartition] = []
         saw_split = False
         saw_cooldown = False

@@ -118,8 +118,6 @@ class FailoverController(MigrationController):
         self.cost_model = cost_model or MigrationCostModel()
         self.state_tuples: Dict[str, float] = dict(state_tuples or {})
         self.failback = failback
-        #: Every migration this controller issued, in time order.
-        self.history: List[Migration] = []
         #: Pre-fault home node per operator (captured on first callback).
         self._home: Optional[Dict[str, int]] = None
 
@@ -136,12 +134,8 @@ class FailoverController(MigrationController):
     ) -> List[Migration]:
         """Failover is event-driven; periodic polls never move anything."""
         self._capture_home(assignment)
-        if self.telemetry is not None:
-            record = self.telemetry.begin(
-                trigger="periodic",
-                controller="failover",
-                loads=[float(value) for value in utilizations],
-            )
+        record = self._begin_record("failover", utilizations)
+        if record is not None:
             record.reason = "event-driven-idle"
         return []
 
@@ -163,12 +157,9 @@ class FailoverController(MigrationController):
         ``failed_nodes`` includes ``node`` itself.
         """
         self._capture_home(assignment)
-        record = None
-        if self.telemetry is not None:
-            record = self.telemetry.begin(
-                trigger="fault", controller="failover", loads=(),
-                node=int(node),
-            )
+        record = self._begin_record(
+            "failover", (), trigger="fault", node=int(node)
+        )
         failed = set(int(n) for n in failed_nodes) | {int(node)}
         alive = [
             n for n in range(len(capacities)) if n not in failed
@@ -245,12 +236,9 @@ class FailoverController(MigrationController):
         failed_nodes: Sequence[int],
     ) -> List[Migration]:
         """Optional failback: return displaced operators to ``node``."""
-        record = None
-        if self.telemetry is not None:
-            record = self.telemetry.begin(
-                trigger="recover", controller="failover", loads=(),
-                node=int(node),
-            )
+        record = self._begin_record(
+            "failover", (), trigger="recover", node=int(node)
+        )
         if not self.failback or self._home is None:
             if record is not None:
                 record.reason = (

@@ -117,6 +117,43 @@ class TestSimulate:
             ])
 
 
+_RUN_ARGS = {
+    "simulate": ["--rates", "20,20", "--duration", "3"],
+    "evaluate": [],
+}
+
+
+class TestPlanGraphBoundary:
+    @pytest.mark.parametrize("command", sorted(_RUN_ARGS))
+    def test_nodes_disagreeing_with_plan_is_a_one_line_error(
+        self, graph_file, plan_file, command, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([
+                command, "--graph", graph_file, "--plan", plan_file,
+                "--nodes", "3", *_RUN_ARGS[command],
+            ])
+        message = str(info.value.code)
+        assert message == f"--nodes 3: plan {plan_file} uses 2 nodes"
+        assert "feasible" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(_RUN_ARGS))
+    def test_truncated_graph_is_a_one_line_error(
+        self, tmp_path, graph_file, plan_file, command
+    ):
+        truncated = tmp_path / "truncated.graph.json"
+        with open(graph_file) as handle:
+            truncated.write_text(handle.read()[:200])
+        with pytest.raises(SystemExit) as info:
+            main([
+                command, "--graph", str(truncated), "--plan", plan_file,
+                *_RUN_ARGS[command],
+            ])
+        message = str(info.value.code)
+        assert message.startswith(f"--graph {truncated}: invalid graph: ")
+        assert "\n" not in message
+
+
 class TestSimulateAnalyzersMatchReadBack:
     """``simulate`` analyzes the events it tees into memory; the
     ``result.json`` it writes must equal the snapshot recomputed from

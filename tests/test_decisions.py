@@ -437,6 +437,32 @@ class TestDisabledTracingPath:
         assert controller.telemetry is None
         assert result.tuples_out > 0
 
+    def test_failed_traced_run_detaches_telemetry(self, monkeypatch):
+        """A traced run that raises mid-loop must still detach its
+        decision collector, or the next untraced run of the same
+        controller keeps building records nobody drains."""
+        placement = _skewed_placement()
+        controller = LoadBalancingController(period=1.0)
+        with pytest.raises(ValueError, match="transfer cost"):
+            Simulator(
+                placement, step_seconds=0.1, transfer_costs=-1.0,
+                tracer=Tracer(MemorySink()), controller=controller,
+            ).run(rate_series=_spiked_series(steps=150))
+        assert controller.telemetry is None
+
+        begun = []
+        begin = DecisionTelemetry.begin
+        monkeypatch.setattr(
+            DecisionTelemetry, "begin",
+            lambda self, *args, **kwargs: begun.append(args)
+            or begin(self, *args, **kwargs),
+        )
+        result = Simulator(
+            placement, step_seconds=0.1, controller=controller,
+        ).run(rate_series=_spiked_series(steps=150))
+        assert result.tuples_out > 0
+        assert begun == []
+
     def test_untraced_run_matches_traced_run(self):
         """Decision/drift telemetry must not change the simulation."""
         def run(tracer=None):

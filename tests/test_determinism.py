@@ -2,8 +2,9 @@
 
 Three layers: :func:`repro.check.determinism.compare_runs` unit tests on
 synthetic run directories, an actual two-subprocess PYTHONHASHSEED
-stability check on the simulator, and the jobs-invariance guarantee of
-the fault-tolerance experiment.
+stability check on the simulator (chaos faults alone, under failover,
+and an elastic repartitioning run), and the jobs-invariance guarantee
+of the fault-tolerance experiment.
 """
 
 import json
@@ -76,24 +77,47 @@ class TestCompareRuns:
 
 _PROBE = """
 import sys
+from repro.core.load_model import build_load_model, partition_load_model
+from repro.core.plans import placement_from_mapping
 from repro.core.rod import rod_place
+from repro.dynamics import ElasticityController, FailoverController
 from repro.experiments.common import make_model
 from repro.faults import chaos_schedule
+from repro.graphs.operators import Delay
+from repro.graphs.query_graph import QueryGraph
 from repro.obs import MemorySink, Tracer
 from repro.obs.trace import trace_digest
 from repro.simulator.engine import Simulator
 
+
+def probe(placement, rates, duration, **kwargs):
+    sink = MemorySink()
+    result = Simulator(
+        placement, step_seconds=0.1, tracer=Tracer(sink), **kwargs
+    ).run(rates=rates, duration=duration)
+    sys.stdout.write("%s|%d;" % (trace_digest(sink.events), result.tuples_out))
+
+
 model = make_model(2, 6, seed=5)
 plan = rod_place(model, [1.0, 1.0, 1.0])
-sink = MemorySink()
-result = Simulator(
-    plan,
-    step_seconds=0.1,
-    faults=chaos_schedule(num_nodes=3, horizon=4.0, seed=9),
-    tracer=Tracer(sink),
-).run(rates=[30.0, 30.0], duration=4.0)
-sys.stdout.write(trace_digest(sink.events))
-sys.stdout.write("|%d" % result.tuples_out)
+chaos = chaos_schedule(num_nodes=3, horizon=4.0, seed=9)
+probe(plan, [30.0, 30.0], 4.0, faults=chaos)
+probe(
+    plan, [30.0, 30.0], 4.0, faults=chaos,
+    controller=FailoverController(samples=64, failback=True),
+)
+graph = QueryGraph()
+source = graph.add_input("I")
+graph.add_operator(Delay("hot", cost=3e-3, selectivity=0.8), [source])
+hot = partition_load_model(
+    build_load_model(graph), "hot", 2, fractions=(0.8, 0.2)
+)
+hosts = {"hot.route0": 2, "hot.part0": 0, "hot.route1": 2, "hot.part1": 1,
+         "hot.merge": 2}
+probe(
+    placement_from_mapping(hot, [1.0] * 3, hosts), [400.0], 4.0,
+    controller=ElasticityController(period=1.0),
+)
 """
 
 
@@ -117,9 +141,13 @@ class TestHashSeedStability:
             _probe_digest(seed) for seed in DEFAULT_HASH_SEEDS
         )
         assert first == second
-        digest, tuples_out = first.split("|")
-        assert len(digest) == 64
-        assert int(tuples_out) > 0
+        # Chaos without a controller, chaos under failover, elastic.
+        runs = first.rstrip(";").split(";")
+        assert len(runs) == 3
+        for run in runs:
+            digest, tuples_out = run.split("|")
+            assert len(digest) == 64
+            assert int(tuples_out) > 0
 
 
 class TestJobsInvariance:
